@@ -1,56 +1,82 @@
 package ringlang
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
 )
 
 // TestRecognizeBatchMatchesRecognize pins the facade-level batch contract:
-// RecognizeBatch returns, in order, exactly the reports per-word Recognize
-// calls produce — for every schedule and worker count.
+// Client.Batch returns, in order, exactly the reports per-word
+// Client.Recognize calls produce — for every catalog schedule, seed and
+// worker count. Schedules weaker than exactly-once refuse a raw recognizer
+// on both paths with the same typed error.
 func TestRecognizeBatchMatchesRecognize(t *testing.T) {
-	words := []Word{
-		WordFromString("001122"),
-		WordFromString("010212"),
-		WordFromString("000111222"),
-		WordFromString("012"),
-		WordFromString("001122001122"),
-	}
-	for _, schedule := range []string{"", "round-robin", "random", "concurrent"} {
-		opts := Options{Schedule: schedule, Seed: 9}
-		want := make([]*Report, len(words))
-		for i, w := range words {
-			r, err := Recognize("three-counters", "", w, opts)
+	ctx := context.Background()
+	words := testWords()
+	for _, schedule := range ScheduleNames() {
+		for _, seed := range []int64{0, 9} {
+			single, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(seed))
 			if err != nil {
-				t.Fatalf("schedule %q word %q: %v", schedule, w.String(), err)
+				t.Fatalf("schedule %q: %v", schedule, err)
 			}
-			want[i] = r
-		}
-		for _, workers := range []int{0, 1, 3} {
-			opts.Workers = workers
-			got, err := RecognizeBatch("three-counters", "", words, opts)
-			if err != nil {
-				t.Fatalf("schedule %q workers=%d: %v", schedule, workers, err)
+			refused := ScheduleDeliveryGuarantee(schedule) != DeliveryExactlyOnce
+			want := make([]*Report, len(words))
+			for i, w := range words {
+				r, err := single.Recognize(ctx, w)
+				if refused {
+					if !errors.Is(err, ErrDeliveryNotTolerated) {
+						t.Errorf("schedule %q word %q: %v, want ErrDeliveryNotTolerated", schedule, w.String(), err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("schedule %q word %q: %v", schedule, w.String(), err)
+				}
+				want[i] = r
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("schedule %q workers=%d: batch reports differ from serial Recognize", schedule, workers)
+			for _, workers := range []int{0, 1, 3} {
+				client, err := NewClient("three-counters", "", WithSchedule(schedule), WithSeed(seed), WithWorkers(workers))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, r := range client.Batch(ctx, words) {
+					if refused {
+						if !errors.Is(r.Err, ErrDeliveryNotTolerated) {
+							t.Errorf("schedule %q batch word %d: %v, want ErrDeliveryNotTolerated", schedule, i, r.Err)
+						}
+						continue
+					}
+					if r.Err != nil {
+						t.Fatalf("schedule %q/%d workers=%d word %d: %v", schedule, seed, workers, i, r.Err)
+					}
+					if !reflect.DeepEqual(r.Report, want[i]) {
+						t.Errorf("schedule %q/%d workers=%d word %d: batch report differs from Recognize", schedule, seed, workers, i)
+					}
+				}
+				client.Close()
 			}
 		}
 	}
 }
 
+// TestRecognizeBatchErrors pins Client.Batch's error shape: a failing word
+// carries the package prefix and fails alone, and an empty batch is empty.
 func TestRecognizeBatchErrors(t *testing.T) {
-	if _, err := RecognizeBatch("no-such-algorithm", "", []Word{WordFromString("01")}, Options{}); err == nil {
-		t.Error("unknown algorithm did not error")
+	client, err := NewClient("three-counters", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	words := []Word{WordFromString("001122"), nil}
-	_, err := RecognizeBatch("three-counters", "", words, Options{})
-	var bwe *BatchWordError
-	if !errors.As(err, &bwe) || bwe.Index != 1 {
-		t.Errorf("batch error does not name the failing word: %v", err)
+	defer client.Close()
+	results := client.Batch(context.Background(), []Word{WordFromString("001122"), nil})
+	if results[0].Err != nil {
+		t.Errorf("good word 0 failed: %v", results[0].Err)
 	}
-	if got, err := RecognizeBatch("three-counters", "", nil, Options{}); err != nil || len(got) != 0 {
-		t.Errorf("empty batch = %v, %v", got, err)
+	if err := results[1].Err; err == nil || len(err.Error()) < 9 || err.Error()[:9] != "ringlang:" {
+		t.Errorf("failing word's error does not carry the package prefix: %v", err)
+	}
+	if got := client.Batch(context.Background(), nil); len(got) != 0 {
+		t.Errorf("empty batch = %v", got)
 	}
 }

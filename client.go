@@ -70,8 +70,8 @@ type Option func(*Client)
 
 // WithSchedule selects the delivery schedule by name — one of
 // ScheduleNames(): "sequential", "random", "round-robin", "adversarial",
-// "concurrent", "sharded", plus the fault axis "lossy", "duplicating",
-// "crash-restart", "crash-repair". The default is sequential. The paper's
+// plus the fault axis "lossy", "duplicating", "crash-restart",
+// "crash-repair". The default is sequential. The paper's
 // bounds hold under every exactly-once schedule; sweeping this knob is how
 // that is checked. Fault schedules whose delivery guarantee is weaker than
 // exactly-once (see ring.ScheduleDeliveryGuarantee) refuse to run a raw
@@ -113,8 +113,7 @@ func WithTrace(record bool) Option {
 // n processors, so large-ring runs proceed without growth reallocations. The
 // reservation applies to Recognize and to every pool worker Batch and Stream
 // fan words across. Values smaller than the actual ring are harmless: the run
-// grows past them as usual. Pair with WithSchedule("sharded") when sweeping
-// rings of 10^6 processors.
+// grows past them as usual.
 func WithPresize(n int) Option {
 	return func(c *Client) { c.presize = n }
 }
@@ -204,7 +203,7 @@ func NewClientWith(rec Recognizer, opts ...Option) (*Client, error) {
 	} else {
 		// The pinned engine is authoritative; adopting its name (rather than
 		// keeping an unvalidated WithSchedule string) keeps Report.Schedule
-		// and UsedConcurrentRun truthful.
+		// truthful.
 		c.schedule = c.engine.Name()
 	}
 	if c.schedule == "" {
@@ -238,7 +237,7 @@ func (c *Client) acquirePool() (*exec.Pool, error) {
 // Recognize: racing calls either complete normally or report ErrClosed, never
 // panic. After Close every method reports ErrClosed (Batch and Stream as
 // per-word Results). Callers that build short-lived clients should Close them
-// to not accumulate idle worker goroutines; the deprecated v1 wrappers do.
+// to not accumulate idle worker goroutines.
 //
 // A Close racing a Stream waits only for the pool's work to finish, not for
 // the consumer to finish ranging: results already parked in the stream's
@@ -407,17 +406,16 @@ func (c *Client) result(word Word, r exec.Result) Result {
 // newReport assembles a Report from one execution's verdict and accounting.
 func (c *Client) newReport(word Word, verdict Verdict, stats *Stats) *Report {
 	return &Report{
-		Algorithm:         c.rec.Name(),
-		LanguageName:      c.rec.Language().Name(),
-		Verdict:           verdict,
-		Member:            c.rec.Language().Contains(word),
-		Messages:          stats.Messages,
-		Bits:              stats.Bits,
-		BitsPerProcessor:  stats.BitsPerProcessor(),
-		MaxMessageBits:    stats.MaxMessageBits,
-		ProcessorCount:    stats.Processors,
-		Schedule:          c.schedule,
-		UsedConcurrentRun: c.schedule == "concurrent",
-		Stats:             stats,
+		Algorithm:        c.rec.Name(),
+		LanguageName:     c.rec.Language().Name(),
+		Verdict:          verdict,
+		Member:           c.rec.Language().Contains(word),
+		Messages:         stats.Messages,
+		Bits:             stats.Bits,
+		BitsPerProcessor: stats.BitsPerProcessor(),
+		MaxMessageBits:   stats.MaxMessageBits,
+		ProcessorCount:   stats.Processors,
+		Schedule:         c.schedule,
+		Stats:            stats,
 	}
 }

@@ -5,7 +5,7 @@
 //
 //	ringrun -algorithm three-counters -word 001122
 //	ringrun -algorithm regular-one-pass -language even-ones -word 0110
-//	ringrun -algorithm compare-wcw -word abcab -engine concurrent -trace
+//	ringrun -algorithm compare-wcw -word abcab -engine round-robin -trace
 //	ringrun -algorithm three-counters -word 001122 -schedule adversarial
 //	ringrun -algorithm three-counters -word 001122 -schedule random -seed 7
 //	ringrun -algorithm three-counters -words 001122,012012,001212 -workers 0

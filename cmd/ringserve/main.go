@@ -49,6 +49,27 @@ import (
 	"ringlang/internal/server"
 )
 
+// Connection timeouts of the listener. ReadHeaderTimeout bounds a client
+// that opens a connection and trickles its request headers; IdleTimeout
+// reclaims idle keep-alive connections. WriteTimeout stays unset: it would
+// cut /v1/stream responses, which legitimately last as long as their batch.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the HTTP server for handler on addr. Request contexts
+// descend from base.
+func newHTTPServer(base context.Context, addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		BaseContext:       func(net.Listener) context.Context { return base },
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ringserve:", err)
@@ -95,11 +116,7 @@ func run(args []string) error {
 	// cancel the ones that outlive it.
 	reqCtx, cancelReqs := context.WithCancel(context.Background())
 	defer cancelReqs()
-	httpServer := &http.Server{
-		Addr:        *addr,
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return reqCtx },
-	}
+	httpServer := newHTTPServer(reqCtx, *addr, srv.Handler())
 
 	errc := make(chan error, 1)
 	go func() {

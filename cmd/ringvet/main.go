@@ -1,6 +1,6 @@
 // Command ringvet runs the repo-specific static-analysis suite
 // (internal/analysis) over the module: ringdeterminism, hotpathalloc, the
-// interprocedural dataflow tier (allocflow, shardsafe, snapshotpure),
+// interprocedural dataflow tier (allocflow, snapshotpure),
 // ctxflow and errsentinel. It is the static face of the invariant
 // enforcement the runtime guards (goldens, alloc-regression tests,
 // cross-engine property tests) provide dynamically, and runs as a required

@@ -19,11 +19,9 @@ import (
 //  1. a function that received a context.Context must not call
 //     context.Background()/TODO(), except under an `if ctx == nil` default;
 //  2. context.Context parameters come first (after the receiver);
-//  3. an exported non-deprecated function outside package main and test
-//     files must not feed context.Background()/TODO() straight into a
-//     callee — that is an API that silently discards its caller's
-//     cancellation. Deprecated v1 wrappers are exempt: freezing their
-//     signature is their whole point.
+//  3. an exported function outside package main and test files must not
+//     feed context.Background()/TODO() straight into a callee — that is an
+//     API that silently discards its caller's cancellation.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "enforce context propagation: no context.Background() where a ctx was received, " +
@@ -163,20 +161,10 @@ func checkNoDiscardedCtx(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// exportedAPI reports whether fd is part of the package's exported,
-// non-deprecated API surface.
+// exportedAPI reports whether fd is part of the package's exported API
+// surface.
 func exportedAPI(pass *Pass, fd *ast.FuncDecl) bool {
-	if pass.Pkg.Name() == "main" || !fd.Name.IsExported() || fd.Name.Name == "init" {
-		return false
-	}
-	if fd.Doc != nil {
-		for _, c := range fd.Doc.List {
-			if strings.Contains(c.Text, "Deprecated:") {
-				return false
-			}
-		}
-	}
-	return true
+	return pass.Pkg.Name() != "main" && fd.Name.IsExported() && fd.Name.Name != "init"
 }
 
 // isContextType reports whether t is context.Context.

@@ -24,11 +24,6 @@ type Marks struct {
 	// called off the steady-state path, so allocflow neither checks it nor
 	// descends through it. The reason is mandatory.
 	Coldpath bool
-	// Producer / Consumer declare which side of an SPSC boundary the
-	// function runs on (//ring:producer, //ring:consumer); shardsafe checks
-	// //ring:owner field accesses against them.
-	Producer bool
-	Consumer bool
 }
 
 // line-scoped marker kinds.
@@ -178,16 +173,6 @@ func parseFuncMarks(doc *ast.CommentGroup) (Marks, error) {
 				return m, fmt.Errorf("ring:coldpath needs a reason: %q (want //ring:coldpath -- <why this never runs per-message>)", text)
 			}
 			m.Coldpath = true
-		case strings.HasPrefix(text, "//ring:producer"):
-			if rest := strings.TrimSpace(strings.TrimPrefix(text, "//ring:producer")); rest != "" {
-				return m, fmt.Errorf("ring:producer takes no attributes, got %q", rest)
-			}
-			m.Producer = true
-		case strings.HasPrefix(text, "//ring:consumer"):
-			if rest := strings.TrimSpace(strings.TrimPrefix(text, "//ring:consumer")); rest != "" {
-				return m, fmt.Errorf("ring:consumer takes no attributes, got %q", rest)
-			}
-			m.Consumer = true
 		}
 	}
 	return m, nil
@@ -195,7 +180,7 @@ func parseFuncMarks(doc *ast.CommentGroup) (Marks, error) {
 
 // any reports whether any directive is set.
 func (m Marks) any() bool {
-	return m.Hotpath || m.Deterministic || m.Coldpath || m.Producer || m.Consumer
+	return m.Hotpath || m.Deterministic || m.Coldpath
 }
 
 // enclosing returns the marks of the innermost annotated function body

@@ -42,11 +42,12 @@ func RunTodo(j job) error {
 	return err
 }
 
-// RunV1 keeps the frozen pre-context signature.
+// RunV1 keeps a frozen pre-context signature; a deprecation notice does not
+// exempt it.
 //
 // Deprecated: use Run.
 func RunV1(j job) error {
-	return doWork(context.Background(), j)
+	return doWork(context.Background(), j) // want "discards the caller's context"
 }
 
 // runDetached is unexported: internal plumbing may root a context.

@@ -16,17 +16,6 @@ import (
 // the million-processor ring the large-ring engine work targets.
 var ScaleSizes = []int{1 << 12, 1 << 16, 1 << 20}
 
-// scaleEngines are the engines E15 compares: the serial struct-of-arrays
-// loop and the segment-sharded engine. The sharded engine sizes itself to
-// the host — on a single-core machine it falls back to the serial loop, and
-// the record says so through identical timings, not through a skipped row.
-func scaleEngines() []ring.Engine {
-	return []ring.Engine{
-		ring.NewSequentialEngine(),
-		ring.NewShardedEngine(),
-	}
-}
-
 // scaleIters picks how many timed iterations a cell of size n gets: enough
 // to average out scheduler noise at small n, few enough that the 2^20 cell
 // stays respectful of CI time.
@@ -85,17 +74,17 @@ func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters in
 // ExperimentE15 is the large-ring engine sweep: the count algorithm (one
 // Θ(log n)-bit token, one circuit — the lightest Θ(n log n) workload in the
 // catalog, so engine overhead dominates) timed at ring sizes up to 2^20 under
-// the serial and the sharded engine, with reused pre-sized run state. The
-// bits column cross-checks the engines against each other; the ns/op and
+// the sequential engine, with reused pre-sized run state. The ns/op and
 // allocs/op columns are the perf trajectory that BENCH_engine.json pins at
-// the repo root.
+// the repo root. (A single-token pass keeps one message in flight, so there
+// is no intra-run parallelism to measure; parallelism runs across words, in
+// exec.Pool.)
 func ExperimentE15(sizes []int, suite Suite) (*Table, error) {
 	table := &Table{
-		ID:    "E15",
-		Title: "large-ring engine: time and allocation trajectory (count, reused pre-sized state)",
-		PaperClaim: "engine scaffolding, not a paper claim: the Θ(n log n) count workload at n up to 2^20, " +
-			"bit-identical across engines",
-		Columns: []string{"n", "engine", "bits", "msgs", "bits/(n lg n)", "ns/op", "ns/op/n", "allocs/op"},
+		ID:         "E15",
+		Title:      "large-ring engine: time and allocation trajectory (count, reused pre-sized state)",
+		PaperClaim: "engine scaffolding, not a paper claim: the Θ(n log n) count workload at n up to 2^20",
+		Columns:    []string{"n", "engine", "bits", "msgs", "bits/(n lg n)", "ns/op", "ns/op/n", "allocs/op"},
 	}
 	for _, n := range sizes {
 		root := int(math.Round(math.Sqrt(float64(n))))
@@ -110,44 +99,34 @@ func ExperimentE15(sizes []int, suite Suite) (*Table, error) {
 		if len(word) != n {
 			return nil, fmt.Errorf("bench: E15 wanted a member of length %d, generator produced %d", n, len(word))
 		}
-		iters := scaleIters(n, suite)
-		wantBits := -1
-		for _, engine := range scaleEngines() {
-			nsPerOp, allocsPerOp, res, err := timedRuns(rec, word, engine, iters)
-			if err != nil {
-				return nil, fmt.Errorf("bench: E15 %s at n=%d: %w", engine.Name(), n, err)
-			}
-			if res.Verdict != ring.VerdictAccept {
-				return nil, fmt.Errorf("bench: E15 %s at n=%d: rejected a perfect-square length", engine.Name(), n)
-			}
-			if wantBits < 0 {
-				wantBits = res.Stats.Bits
-			} else if res.Stats.Bits != wantBits {
-				return nil, fmt.Errorf("bench: E15 at n=%d: %s counted %d bits, expected %d",
-					n, engine.Name(), res.Stats.Bits, wantBits)
-			}
-			table.AddRow(
-				fmtInt(n), engine.Name(),
-				fmtInt(res.Stats.Bits), fmtInt(res.Stats.Messages),
-				perNLogN(res.Stats.Bits, n),
-				fmt.Sprintf("%.0f", nsPerOp),
-				fmt.Sprintf("%.1f", nsPerOp/float64(n)),
-				fmt.Sprintf("%.1f", allocsPerOp),
-			)
-			table.AddRecord(BenchRecord{
-				Algorithm:   rec.Name(),
-				Schedule:    engine.Name(),
-				N:           n,
-				Bits:        res.Stats.Bits,
-				Messages:    res.Stats.Messages,
-				NsPerOp:     nsPerOp,
-				AllocsPerOp: allocsPerOp,
-			})
+		engine := ring.NewSequentialEngine()
+		nsPerOp, allocsPerOp, res, err := timedRuns(rec, word, engine, scaleIters(n, suite))
+		if err != nil {
+			return nil, fmt.Errorf("bench: E15 %s at n=%d: %w", engine.Name(), n, err)
 		}
+		if res.Verdict != ring.VerdictAccept {
+			return nil, fmt.Errorf("bench: E15 %s at n=%d: rejected a perfect-square length", engine.Name(), n)
+		}
+		table.AddRow(
+			fmtInt(n), engine.Name(),
+			fmtInt(res.Stats.Bits), fmtInt(res.Stats.Messages),
+			perNLogN(res.Stats.Bits, n),
+			fmt.Sprintf("%.0f", nsPerOp),
+			fmt.Sprintf("%.1f", nsPerOp/float64(n)),
+			fmt.Sprintf("%.1f", allocsPerOp),
+		)
+		table.AddRecord(BenchRecord{
+			Algorithm:   rec.Name(),
+			Schedule:    engine.Name(),
+			N:           n,
+			Bits:        res.Stats.Bits,
+			Messages:    res.Stats.Messages,
+			NsPerOp:     nsPerOp,
+			AllocsPerOp: allocsPerOp,
+		})
 	}
 	table.Notes = append(table.Notes,
 		"timings average the post-warm-up steady state: the run state is pre-sized (WithPresize), so allocs/op is the reuse floor, not cold-start growth",
-		fmt.Sprintf("sharded engine sizing on this host: GOMAXPROCS=%d (below 2 effective workers it falls back to the serial loop, by design)", runtime.GOMAXPROCS(0)),
 	)
 	return table, nil
 }

@@ -83,7 +83,7 @@ func Experiments() []Experiment {
 			Run: func(s Suite) (*Table, error) { return ExperimentE13(scale([]int{33, 99, 201}, s)) }},
 		{ID: "E14", Description: "serving tier: memo cache hit ratio on repeated-word traffic (ringserve)",
 			Run: func(s Suite) (*Table, error) { return ExperimentE14(scale([]int{48, 96, 192, 384}, s)) }},
-		{ID: "E15", Description: "large-ring engine: serial vs sharded time/alloc trajectory (count, n to 2^20)",
+		{ID: "E15", Description: "large-ring engine: sequential time/alloc trajectory (count, n to 2^20)",
 			Run: func(s Suite) (*Table, error) {
 				sizes := ScaleSizes
 				if s == SuiteQuick {

@@ -121,7 +121,7 @@ func TestPrefixCacheBypassedWhenUnusable(t *testing.T) {
 		opts RunOptions
 	}{
 		{"random schedule", RunOptions{Schedule: "random", Seed: 7}},
-		{"sharded schedule", RunOptions{Schedule: "sharded"}},
+		{"concurrent engine", RunOptions{Engine: ring.NewConcurrentEngine()}},
 		{"adversarial schedule", RunOptions{Schedule: "adversarial"}},
 		{"trace recording", RunOptions{Schedule: "sequential", RecordTrace: true}},
 	} {

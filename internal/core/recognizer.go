@@ -34,8 +34,8 @@ type RunOptions struct {
 	// defaulting to the deterministic sequential one.
 	Engine ring.Engine
 	// Schedule names a built-in delivery schedule — one of
-	// ring.ScheduleNames: "sequential", "random", "round-robin",
-	// "adversarial", "concurrent", "sharded". Ignored when Engine is non-nil.
+	// ring.ScheduleNames, e.g. "sequential", "random", "round-robin",
+	// "adversarial" or a fault schedule. Ignored when Engine is non-nil.
 	Schedule string
 	// Seed drives randomized schedules (Schedule == "random").
 	Seed int64

@@ -33,12 +33,6 @@ func scheduleAxis(t *testing.T) []ring.Engine {
 	for seed := int64(1); seed <= 5; seed++ {
 		engines = append(engines, ring.NewRandomOrderEngine(seed))
 	}
-	// The sharded engine with forced worker counts: the automatic sizing
-	// would fall back to the serial loop on property-sized rings, and the
-	// bit-identity claim is about the genuinely parallel path.
-	for _, workers := range []int{2, 3, 8} {
-		engines = append(engines, ring.NewShardedEngineWorkers(workers))
-	}
 	// Every named schedule joins the axis by classification, not by name:
 	// exactly-once delivery is precisely the guarantee under which the
 	// bit-identity property is stated. Fault schedules that only delay or

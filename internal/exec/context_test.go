@@ -96,7 +96,7 @@ func TestRunEachCancelMidBatch(t *testing.T) {
 // TestRunBatchContextNilContext pins that a nil context means "not
 // cancelable" and the batch behaves exactly like RunBatch.
 func TestRunBatchContextNilContext(t *testing.T) {
-	want := RunBatch(batchJobs(4, 4), Options{Workers: 2})
+	want := RunBatchContext(context.Background(), batchJobs(4, 4), Options{Workers: 2})
 	got := RunBatchContext(nil, batchJobs(4, 4), Options{Workers: 2})
 	if len(got) != len(want) {
 		t.Fatalf("result counts differ: %d vs %d", len(got), len(want))
@@ -138,7 +138,7 @@ func TestPoolSurvivesCanceledBatch(t *testing.T) {
 func TestJobRecordTrace(t *testing.T) {
 	jobs := batchJobs(2, 3)
 	jobs[0].RecordTrace = true
-	results := RunBatch(jobs, Options{Workers: 1})
+	results := RunBatchContext(context.Background(), jobs, Options{Workers: 1})
 	if results[0].Err != nil || results[1].Err != nil {
 		t.Fatalf("unexpected errors: %v / %v", results[0].Err, results[1].Err)
 	}

@@ -12,7 +12,7 @@
 // built-in schedule; internal/exec's property tests enforce this.
 //
 // Entry points: NewPool/Pool.RunBatchContext for a long-lived pool,
-// RunBatch/RunBatchContext for one-shot batches, RunEach to stream results
+// RunBatchContext for one-shot batches, RunEach to stream results
 // in completion order (what ringlang.Client.Stream is built on). Dispatch is
 // context-aware: a canceled batch stops handing out jobs, reports the
 // undispatched ones with ring.ErrCanceled, and never discards the words that

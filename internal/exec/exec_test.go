@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -28,7 +29,7 @@ func flattenPerLink(s *ring.Stats) map[[2]int]ring.LinkStats {
 	return out
 }
 
-// TestPropertyBatchMatchesSerial is the batch-equivalence property: RunBatch
+// TestPropertyBatchMatchesSerial is the batch-equivalence property: pool
 // results must be bit-for-bit identical to serial core.Check across
 // algorithms, schedules and worker counts. Run it with -race to cover the
 // pool and the concurrent engine.
@@ -38,17 +39,20 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 		core.NewBalancedCounter(),
 		core.NewCompareWcW(),
 	}
+	// The concurrent engine is outside the schedule catalog; it is pinned
+	// as a job engine so the pool still runs it under -race.
 	schedules := []struct {
-		name string
-		seed int64
+		name   string
+		seed   int64
+		engine ring.Engine
 	}{
-		{"", 0},
-		{"sequential", 0},
-		{"random", 3},
-		{"random", 11},
-		{"round-robin", 0},
-		{"adversarial", 0},
-		{"concurrent", 0},
+		{"", 0, nil},
+		{"sequential", 0, nil},
+		{"random", 3, nil},
+		{"random", 11, nil},
+		{"round-robin", 0, nil},
+		{"adversarial", 0, nil},
+		{"", 0, ring.NewConcurrentEngine()},
 	}
 	sizes := []int{3, 9, 21}
 
@@ -68,11 +72,11 @@ func TestPropertyBatchMatchesSerial(t *testing.T) {
 			}
 			for _, word := range words {
 				for _, s := range schedules {
-					res, err := core.Check(rec, word, core.RunOptions{Schedule: s.name, Seed: s.seed})
+					res, err := core.Check(rec, word, core.RunOptions{Engine: s.engine, Schedule: s.name, Seed: s.seed})
 					if err != nil {
 						t.Fatalf("serial %s n=%d schedule=%q: %v", rec.Name(), n, s.name, err)
 					}
-					jobs = append(jobs, Job{Rec: rec, Word: word, Schedule: s.name, Seed: s.seed, Check: true})
+					jobs = append(jobs, Job{Rec: rec, Word: word, Engine: s.engine, Schedule: s.name, Seed: s.seed, Check: true})
 					want = append(want, Result{Verdict: res.Verdict, Stats: res.Stats.Clone()})
 				}
 			}
@@ -138,7 +142,7 @@ func TestRunBatchResultsAreIndependent(t *testing.T) {
 // batch.
 func TestRunBatchErrors(t *testing.T) {
 	rec := core.NewThreeCounters()
-	results := RunBatch([]Job{
+	results := RunBatchContext(context.Background(), []Job{
 		{Rec: rec, Word: lang.WordFromString("012"), Check: true},
 		{Rec: rec, Word: lang.WordFromString("012"), Schedule: "no-such-schedule"},
 		{Word: lang.WordFromString("012")},
@@ -160,7 +164,7 @@ func TestRunBatchErrors(t *testing.T) {
 
 // TestRunBatchEmpty covers the degenerate batch.
 func TestRunBatchEmpty(t *testing.T) {
-	if got := RunBatch(nil, Options{}); len(got) != 0 {
+	if got := RunBatchContext(context.Background(), nil, Options{}); len(got) != 0 {
 		t.Fatalf("RunBatch(nil) = %v", got)
 	}
 }

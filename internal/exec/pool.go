@@ -63,7 +63,7 @@ type Result struct {
 	Err   error
 }
 
-// Options configures package-level RunBatch calls.
+// Options configures the package-level RunBatchContext and RunEach calls.
 type Options struct {
 	// Workers is the number of worker goroutines; values < 1 mean
 	// runtime.GOMAXPROCS(0).
@@ -169,14 +169,8 @@ func (p *Pool) RunBatchContext(ctx context.Context, jobs []Job) []Result {
 
 // RunBatch executes every job without cancellation; see RunBatchContext.
 func (p *Pool) RunBatch(jobs []Job) []Result {
-	//ringvet:ignore ctxflow -- v1-style convenience wrapper documented as running without cancellation; RunBatchContext is the ctx-aware form
+	//ringvet:ignore ctxflow -- convenience wrapper documented as running without cancellation; RunBatchContext is the ctx-aware form
 	return p.RunBatchContext(context.Background(), jobs)
-}
-
-// RunBatch executes the jobs on a transient pool.
-func RunBatch(jobs []Job, opts Options) []Result {
-	//ringvet:ignore ctxflow -- v1-style convenience wrapper documented as running without cancellation; RunBatchContext is the ctx-aware form
-	return RunBatchContext(context.Background(), jobs, opts)
 }
 
 // RunBatchContext executes the jobs on a transient pool under ctx.

@@ -7,9 +7,10 @@
 // tests pin every algorithm's bit totals to be schedule-independent anyway.
 // That makes results ideal memoization targets: a repeated word never needs
 // to re-run an engine, it needs a map lookup. Deterministic schedules
-// (sequential, round-robin, adversarial, concurrent) are cacheable under a
-// zero seed; random-order runs are keyed by their seed, so two seeds never
-// share an entry.
+// (sequential, round-robin, adversarial) are cacheable under a zero seed;
+// seeded schedules (random and the fault schedules, see
+// ring.ScheduleUsesSeed) are keyed by their seed, so two seeds never share
+// an entry.
 //
 // The entry point is Cache, generic over the stored value (the server stores
 // *ringlang.Report snapshots, which are independent of pooled run state and

@@ -39,32 +39,37 @@ var ErrCheckpointMismatch = errors.New("ring: checkpoint does not match the run"
 // only on the sequence of sends so far — never on the word, the seed, or
 // real-time interleaving. Only such schedules may capture and resume
 // checkpoints: two runs sharing a send prefix must share the delivery prefix,
-// or the saved state would not be the state the cold run reaches.
+// or the saved state would not be the state the cold run reaches. The
+// schedule catalog marks which rows qualify:
 //
 //   - "sequential" (global FIFO) and "round-robin" qualify: their next
 //     delivery is a pure function of the queued messages and an internal
 //     cursor.
-//   - "random" is reproducible per seed but the paper's memoization folds
-//     seeds together, and a seeded order is exactly the kind of hidden input
-//     a checkpoint must not bake in; it falls back to cold runs.
+//   - "random" and the fault schedules are reproducible per seed, but the
+//     paper's memoization folds seeds together, and a seeded order is
+//     exactly the kind of hidden input a checkpoint must not bake in; they
+//     fall back to cold runs.
 //   - "adversarial" is deterministic but its newest-first hint stacks are
 //     deliberately hostile bookkeeping with stale-hint skipping; it is kept
 //     off the stable list rather than frozen into a compatibility contract.
-//   - "concurrent" and "sharded" race real goroutines: the interleaving is
-//     timing-dependent, so no two runs are guaranteed to share a delivery
-//     prefix at all.
+//
+// Names outside the catalog — the concurrent engine, whose interleaving is
+// timing-dependent, and parameterized engine names — are not prefix-stable.
 func ScheduleIsPrefixStable(name string) bool {
-	switch CanonicalScheduleName(name) {
-	case "sequential", "round-robin":
-		return true
-	}
-	return false
+	s := lookupSchedule(name)
+	return s != nil && s.prefixStable
 }
 
 // PrefixStableScheduleNames lists the canonical schedule names for which
 // ScheduleIsPrefixStable holds, in ScheduleNames order.
 func PrefixStableScheduleNames() []string {
-	return []string{"sequential", "round-robin"}
+	var names []string
+	for _, s := range scheduleSpecs {
+		if s.prefixStable {
+			names = append(names, s.name)
+		}
+	}
+	return names
 }
 
 // PrefixResumable is implemented by Nodes whose per-run mutable state fits a
@@ -299,7 +304,6 @@ func restoreCheckpoint(cp *Checkpoint, cfg Config, nodes []Node, sched checkpoin
 	lp.stats.Messages = cp.messages
 	lp.stats.Bits = cp.bitsTotal
 	lp.stats.MaxMessageBits = cp.maxMessageBits
-	lp.stats.ensureLinks()
 	copy(lp.stats.linkMsgs, cp.linkMsgs)
 	copy(lp.stats.linkBits, cp.linkBits)
 

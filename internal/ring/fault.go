@@ -64,20 +64,12 @@ func (g DeliveryGuarantee) String() string {
 	}
 }
 
-// DeliveryGuaranteed is implemented by schedulers and engines whose delivery
-// fate differs from the paper's reliable exactly-once model.
-type DeliveryGuaranteed interface {
-	// DeliveryGuarantee reports the delivery guarantee the implementation
-	// upholds.
-	DeliveryGuarantee() DeliveryGuarantee
-}
-
-// EngineDeliveryGuarantee reports the delivery guarantee of an engine:
-// engines that do not declare one (every engine predating the fault axis)
-// uphold the paper's exactly-once model.
+// EngineDeliveryGuarantee reports the delivery guarantee of an engine: a
+// ScheduledEngine carries the guarantee of its schedule-catalog row; every
+// other engine (the concurrent one) upholds the paper's exactly-once model.
 func EngineDeliveryGuarantee(e Engine) DeliveryGuarantee {
-	if g, ok := e.(DeliveryGuaranteed); ok {
-		return g.DeliveryGuarantee()
+	if se, ok := e.(*ScheduledEngine); ok {
+		return se.guarantee
 	}
 	return ExactlyOnce
 }
@@ -161,8 +153,6 @@ func NewLossyScheduler(seed int64, dropRate float64, maxRetransmits int) Schedul
 func (s *lossyScheduler) Name() string {
 	return fmt.Sprintf("lossy(seed=%d,drop=%g)", s.seed, s.dropRate)
 }
-
-func (s *lossyScheduler) DeliveryGuarantee() DeliveryGuarantee { return ExactlyOnce }
 
 func (s *lossyScheduler) takeFaultReport() *FaultReport {
 	fr := s.faults
@@ -263,8 +253,6 @@ func NewDuplicatingScheduler(seed int64, dupRate float64) Scheduler {
 func (s *duplicatingScheduler) Name() string {
 	return fmt.Sprintf("duplicating(seed=%d,dup=%g)", s.seed, s.dupRate)
 }
-
-func (s *duplicatingScheduler) DeliveryGuarantee() DeliveryGuarantee { return AtLeastOnce }
 
 func (s *duplicatingScheduler) takeFaultReport() *FaultReport {
 	fr := s.faults
@@ -388,13 +376,6 @@ func (s *crashScheduler) Name() string {
 	return fmt.Sprintf("crash-restart(seed=%d)", s.seed)
 }
 
-func (s *crashScheduler) DeliveryGuarantee() DeliveryGuarantee {
-	if s.mode == crashRepair {
-		return CrashProne
-	}
-	return ExactlyOnce
-}
-
 func (s *crashScheduler) takeFaultReport() *FaultReport {
 	fr := s.faults
 	if s.faults.Crashed != nil {
@@ -495,27 +476,23 @@ func (s *crashScheduler) advanceCursor(link int) {
 // NewLossyEngine returns an engine running the lossy schedule (see
 // NewLossyScheduler for the parameter fallbacks).
 func NewLossyEngine(seed int64, dropRate float64, maxRetransmits int) *ScheduledEngine {
-	factory := func() Scheduler { return NewLossyScheduler(seed, dropRate, maxRetransmits) }
-	return NewScheduledEngine(factory().Name(), factory)
+	return lookupSchedule("lossy").engine(func() Scheduler { return NewLossyScheduler(seed, dropRate, maxRetransmits) })
 }
 
 // NewDuplicatingEngine returns an engine running the at-least-once schedule
 // (see NewDuplicatingScheduler for the rate fallback).
 func NewDuplicatingEngine(seed int64, dupRate float64) *ScheduledEngine {
-	factory := func() Scheduler { return NewDuplicatingScheduler(seed, dupRate) }
-	return NewScheduledEngine(factory().Name(), factory)
+	return lookupSchedule("duplicating").engine(func() Scheduler { return NewDuplicatingScheduler(seed, dupRate) })
 }
 
 // NewCrashRepairEngine returns an engine running the fail-stop-and-splice
 // schedule.
 func NewCrashRepairEngine(seed int64) *ScheduledEngine {
-	factory := func() Scheduler { return NewCrashRepairScheduler(seed) }
-	return NewScheduledEngine(factory().Name(), factory)
+	return lookupSchedule("crash-repair").seededEngine(seed)
 }
 
 // NewCrashRestartEngine returns an engine running the crash-and-restart
 // schedule.
 func NewCrashRestartEngine(seed int64) *ScheduledEngine {
-	factory := func() Scheduler { return NewCrashRestartScheduler(seed) }
-	return NewScheduledEngine(factory().Name(), factory)
+	return lookupSchedule("crash-restart").seededEngine(seed)
 }

@@ -242,9 +242,10 @@ func runLoopFrom(cfg Config, nodes []Node, sched Scheduler, st *RunState, run Ch
 	return res, nil
 }
 
-// ScheduledEngine drives the shared event loop with a fresh scheduler per
-// run, so one engine value stays reusable (and as goroutine-safe as the seed
-// engines) no matter how much state its schedule keeps.
+// ScheduledEngine is the one engine type of the package: the shared event
+// loop driven by a fresh scheduler per run, so one engine value stays
+// reusable and goroutine-safe no matter how much state its schedule keeps.
+// Every built-in schedule is a ScheduledEngine with a fixed factory.
 type ScheduledEngine struct {
 	name      string
 	factory   func() Scheduler
@@ -254,20 +255,11 @@ type ScheduledEngine struct {
 // NewScheduledEngine wraps a scheduler factory as an Engine. This is the
 // extension point for schedules the built-in names do not cover: implement
 // Scheduler, wrap it here, and every recognizer, experiment and test can run
-// under it — no fourth engine copy required. The engine inherits the
-// scheduler's delivery guarantee (probed from one factory call); schedulers
-// that declare none uphold the exactly-once model.
+// under it. The engine upholds the exactly-once model; the fault schedules
+// with weaker guarantees are reached through their own constructors.
 func NewScheduledEngine(name string, factory func() Scheduler) *ScheduledEngine {
-	e := &ScheduledEngine{name: name, factory: factory}
-	if g, ok := factory().(DeliveryGuaranteed); ok {
-		e.guarantee = g.DeliveryGuarantee()
-	}
-	return e
+	return &ScheduledEngine{name: name, factory: factory}
 }
-
-// DeliveryGuarantee implements DeliveryGuaranteed: the guarantee of the
-// engine's scheduler (see EngineDeliveryGuarantee).
-func (e *ScheduledEngine) DeliveryGuarantee() DeliveryGuarantee { return e.guarantee }
 
 var _ StatefulEngine = (*ScheduledEngine)(nil)
 
@@ -281,7 +273,9 @@ func (e *ScheduledEngine) Run(cfg Config, nodes []Node) (*Result, error) {
 	return runLoop(cfg, nodes, e.factory(), nil)
 }
 
-// RunWith implements StatefulEngine.
+// RunWith implements StatefulEngine. The scheduler is cached in st and
+// reset on every run (a seeded one re-seeds), so a reused scheduler produces
+// the identical delivery order each run.
 //
 //ring:coldpath -- per-run entry point; the delivery loop below carries its own //ring:hotpath roots
 func (e *ScheduledEngine) RunWith(st *RunState, cfg Config, nodes []Node) (*Result, error) {
@@ -302,18 +296,31 @@ func (e *ScheduledEngine) RunCheckpointed(st *RunState, cfg Config, nodes []Node
 	return runLoopFrom(cfg, nodes, st.scheduler(e, e.factory), st, run)
 }
 
-// NewRoundRobinEngine returns an engine delivering round-robin by link.
-func NewRoundRobinEngine() *ScheduledEngine {
-	return NewScheduledEngine("round-robin", NewRoundRobinScheduler)
+// sequentialEngine is shared by every NewSequentialEngine call: engines are
+// immutable, and one identity lets a reused RunState keep its cached
+// scheduler across callers that build the default engine per run.
+var sequentialEngine = lookupSchedule("sequential").seededEngine(0)
+
+// NewSequentialEngine returns the deterministic engine: the loop under a
+// global-FIFO scheduler. FIFO delivery is a legal asynchronous schedule; for
+// the paper's unidirectional leader-initiated algorithms it is exactly the
+// unique execution described in Section 2.
+func NewSequentialEngine() *ScheduledEngine { return sequentialEngine }
+
+// NewRandomOrderEngine returns an engine delivering the head of a uniformly
+// random non-empty link, seeded so the order is reproducible. Every such
+// order is a legal asynchronous execution; running an algorithm under many
+// seeds is how the test suite checks schedule-independence.
+func NewRandomOrderEngine(seed int64) *ScheduledEngine {
+	return lookupSchedule("random").seededEngine(seed)
 }
+
+// NewRoundRobinEngine returns an engine delivering round-robin by link.
+func NewRoundRobinEngine() *ScheduledEngine { return lookupSchedule("round-robin").seededEngine(0) }
 
 // NewAdversarialEngine returns an engine running the bounded-delay adversary
 // (see adversarialScheduler). Bounds below 1 fall back to
 // DefaultAdversarialBound.
 func NewAdversarialEngine(bound int) *ScheduledEngine {
-	if bound < 1 {
-		bound = DefaultAdversarialBound
-	}
-	return NewScheduledEngine(fmt.Sprintf("adversarial(bound=%d)", bound),
-		func() Scheduler { return NewAdversarialScheduler(bound) })
+	return lookupSchedule("adversarial").engine(func() Scheduler { return NewAdversarialScheduler(bound) })
 }

@@ -25,8 +25,6 @@ func TestScheduleCatalogClassification(t *testing.T) {
 		{"random", "random", true, false, ExactlyOnce},
 		{"round-robin", "round-robin", false, true, ExactlyOnce},
 		{"adversarial", "adversarial", false, false, ExactlyOnce},
-		{"concurrent", "concurrent", false, false, ExactlyOnce},
-		{"sharded", "sharded", false, false, ExactlyOnce},
 		{"lossy", "lossy", true, false, ExactlyOnce},
 		{"duplicating", "duplicating", true, false, AtLeastOnce},
 		{"crash-restart", "crash-restart", true, false, ExactlyOnce},
@@ -102,22 +100,18 @@ func TestScheduleCatalogResolution(t *testing.T) {
 		if got, want := EngineDeliveryGuarantee(engine), ScheduleDeliveryGuarantee(name); got != want {
 			t.Errorf("%q: engine %s guarantees %v, name classifies as %v", name, engine.Name(), got, want)
 		}
-		switch CanonicalScheduleName(name) {
-		case "concurrent", "sharded":
-			// Dedicated engine types, not scheduler-backed.
-			if _, err := NewSchedulerByName(name, 7); err == nil {
-				t.Errorf("NewSchedulerByName(%q) resolved; %q has no scheduler", name, name)
-			}
-		default:
-			if _, err := NewSchedulerByName(name, 7); err != nil {
-				t.Errorf("NewSchedulerByName(%q): %v", name, err)
-			}
+		if _, err := NewSchedulerByName(name, 7); err != nil {
+			t.Errorf("NewSchedulerByName(%q): %v", name, err)
 		}
 	}
-	if _, err := NewEngineByName("bogus", 0); !errors.Is(err, ErrUnknownSchedule) {
-		t.Errorf("NewEngineByName(bogus) = %v, want ErrUnknownSchedule", err)
-	}
-	if _, err := NewSchedulerByName("bogus", 0); !errors.Is(err, ErrUnknownSchedule) {
-		t.Errorf("NewSchedulerByName(bogus) = %v, want ErrUnknownSchedule", err)
+	// Engine names outside the catalog are unknown schedules: the concurrent
+	// reference engine is reachable only as NewConcurrentEngine.
+	for _, name := range []string{"bogus", "concurrent", "sharded"} {
+		if _, err := NewEngineByName(name, 0); !errors.Is(err, ErrUnknownSchedule) {
+			t.Errorf("NewEngineByName(%q) = %v, want ErrUnknownSchedule", name, err)
+		}
+		if _, err := NewSchedulerByName(name, 0); !errors.Is(err, ErrUnknownSchedule) {
+			t.Errorf("NewSchedulerByName(%q) = %v, want ErrUnknownSchedule", name, err)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 )
 
@@ -36,7 +37,7 @@ type Scheduler interface {
 }
 
 // fifoScheduler delivers messages in global first-in-first-out order — the
-// schedule the seed SequentialEngine hardcoded. One shared queue suffices:
+// sequential schedule. One shared queue suffices:
 // global FIFO trivially preserves per-link FIFO. The queue is the
 // struct-of-arrays fifoQueue, so the default engine's in-flight messages
 // live in one flat arena.
@@ -47,7 +48,7 @@ type fifoScheduler struct {
 // NewFIFOScheduler returns the deterministic global-FIFO schedule.
 func NewFIFOScheduler() Scheduler { return &fifoScheduler{} }
 
-func (s *fifoScheduler) Name() string              { return "fifo" }
+func (s *fifoScheduler) Name() string              { return "sequential" }
 func (s *fifoScheduler) Reset(links int)           { s.q.reset() }
 func (s *fifoScheduler) Push(link int, d Delivery) { s.q.push(d.To, d.From, d.Payload) }
 
@@ -71,7 +72,7 @@ type randomScheduler struct {
 func NewRandomScheduler(seed int64) Scheduler { return &randomScheduler{seed: seed} }
 
 //ring:coldpath -- label rendering; called at setup and in error reports, never per message
-func (s *randomScheduler) Name() string { return fmt.Sprintf("random(seed=%d)", s.seed) }
+func (s *randomScheduler) Name() string { return fmt.Sprintf("random-order(seed=%d)", s.seed) }
 
 func (s *randomScheduler) Reset(links int) {
 	s.rng = rand.New(rand.NewSource(s.seed))
@@ -257,142 +258,149 @@ func (s *adversarialScheduler) popOldest() int {
 	}
 }
 
-// ScheduleNames lists the schedule names accepted by NewSchedulerByName and
-// NewEngineByName (and hence by every -engine/-schedule flag and the facade's
-// Options.Schedule). "concurrent" and "sharded" are special: they name the
-// goroutine-per-processor and segment-sharded engines rather than
-// scheduler-backed ones. The tail of the list is the fault axis — schedules
-// that vary delivery fate, not just delivery order (see fault.go); use
-// ScheduleDeliveryGuarantee to classify what each one still promises.
-func ScheduleNames() []string {
-	return []string{
-		"sequential", "random", "round-robin", "adversarial", "concurrent", "sharded",
-		"lossy", "duplicating", "crash-restart", "crash-repair",
-	}
+// scheduleSpec is one row of the schedule catalog: every fact the rest of
+// the system keys off a schedule name lives here and nowhere else.
+type scheduleSpec struct {
+	// name is the canonical name; aliases fold onto it.
+	name    string
+	aliases []string
+	// seeded: the execution depends on the seed (randomized order, or
+	// seeded fault draws), so results must be keyed by seed.
+	seeded bool
+	// prefixStable: see ScheduleIsPrefixStable.
+	prefixStable bool
+	// guarantee is what the network still promises under the schedule.
+	guarantee DeliveryGuarantee
+	// new builds the scheduler; deterministic schedules ignore the seed.
+	new func(seed int64) Scheduler
 }
 
-// CanonicalScheduleName folds the accepted aliases — "fifo" for
-// "sequential", "random-order" for "random", "bounded-delay" for
-// "adversarial", "drop" for "lossy", "at-least-once" for "duplicating",
-// "crash" for "crash-repair" and "self-stabilizing" for "crash-restart" —
-// onto the canonical names of ScheduleNames. Unknown names (and the empty
-// string) pass through unchanged; lookup functions remain the validators.
+// scheduleSpecs is the schedule catalog, in ScheduleNames order. The head
+// varies delivery order only; the tail is the fault axis, which varies
+// delivery fate (see fault.go). Lossy and crash-restart faults are absorbed
+// by the link layer, so they still uphold the paper's exactly-once model.
+var scheduleSpecs = []scheduleSpec{
+	{name: "sequential", aliases: []string{"fifo"}, prefixStable: true,
+		new: func(int64) Scheduler { return NewFIFOScheduler() }},
+	{name: "random", aliases: []string{"random-order"}, seeded: true,
+		new: NewRandomScheduler},
+	{name: "round-robin", prefixStable: true,
+		new: func(int64) Scheduler { return NewRoundRobinScheduler() }},
+	{name: "adversarial", aliases: []string{"bounded-delay"},
+		new: func(int64) Scheduler { return NewAdversarialScheduler(DefaultAdversarialBound) }},
+	{name: "lossy", aliases: []string{"drop"}, seeded: true,
+		new: func(seed int64) Scheduler { return NewLossyScheduler(seed, DefaultDropRate, DefaultMaxRetransmits) }},
+	{name: "duplicating", aliases: []string{"at-least-once"}, seeded: true, guarantee: AtLeastOnce,
+		new: func(seed int64) Scheduler { return NewDuplicatingScheduler(seed, DefaultDuplicateRate) }},
+	{name: "crash-restart", aliases: []string{"self-stabilizing"}, seeded: true,
+		new: NewCrashRestartScheduler},
+	{name: "crash-repair", aliases: []string{"crash"}, seeded: true, guarantee: CrashProne,
+		new: NewCrashRepairScheduler},
+}
+
+// lookupSchedule returns the catalog row of a canonical name or alias, or
+// nil for an unknown name.
+func lookupSchedule(name string) *scheduleSpec {
+	for i := range scheduleSpecs {
+		if s := &scheduleSpecs[i]; s.name == name || slices.Contains(s.aliases, name) {
+			return s
+		}
+	}
+	return nil
+}
+
+// lookupScheduleErr is lookupSchedule with the ErrUnknownSchedule error the
+// constructors report.
+func lookupScheduleErr(name string) (*scheduleSpec, error) {
+	if s := lookupSchedule(name); s != nil {
+		return s, nil
+	}
+	return nil, fmt.Errorf("%w %q (known: %s)",
+		ErrUnknownSchedule, name, strings.Join(ScheduleNames(), ", "))
+}
+
+// engine wraps a scheduler factory of the row's schedule (possibly with
+// non-default parameters) as an engine named after its scheduler and
+// carrying the row's delivery guarantee.
+func (s *scheduleSpec) engine(factory func() Scheduler) *ScheduledEngine {
+	return &ScheduledEngine{name: factory().Name(), factory: factory, guarantee: s.guarantee}
+}
+
+// seededEngine is the row's default engine under the given seed.
+func (s *scheduleSpec) seededEngine(seed int64) *ScheduledEngine {
+	return s.engine(func() Scheduler { return s.new(seed) })
+}
+
+// ScheduleNames lists the canonical schedule names accepted by
+// NewSchedulerByName and NewEngineByName (and hence by every -schedule flag
+// and the facade's WithSchedule). The tail of the list is the fault axis —
+// schedules that vary delivery fate, not just delivery order (see fault.go);
+// use ScheduleDeliveryGuarantee to classify what each one still promises.
+func ScheduleNames() []string {
+	names := make([]string, len(scheduleSpecs))
+	for i := range scheduleSpecs {
+		names[i] = scheduleSpecs[i].name
+	}
+	return names
+}
+
+// CanonicalScheduleName folds an accepted alias ("fifo", "random-order",
+// "bounded-delay", "drop", "at-least-once", "crash", "self-stabilizing")
+// onto its canonical name in ScheduleNames. Unknown names (and the empty
+// string) pass through unchanged; the constructors remain the validators.
 // Anything that keys state by schedule name (the serving tier's memo cache,
 // a client pool) should key by the canonical name so aliases converge on one
 // entry.
 func CanonicalScheduleName(name string) string {
-	switch name {
-	case "fifo":
-		return "sequential"
-	case "random-order":
-		return "random"
-	case "bounded-delay":
-		return "adversarial"
-	case "drop":
-		return "lossy"
-	case "at-least-once":
-		return "duplicating"
-	case "crash":
-		return "crash-repair"
-	case "self-stabilizing":
-		return "crash-restart"
-	default:
-		return name
+	if s := lookupSchedule(name); s != nil {
+		return s.name
 	}
+	return name
 }
 
 // ScheduleUsesSeed reports whether the named schedule's execution depends on
 // the seed. Randomized delivery order does, and so does every fault
 // schedule: their drop/duplicate/crash fates are seeded draws. Results under
 // the remaining schedules are seed-independent, which is what lets the
-// serving tier memoize them under one seed. A new seeded schedule must be
-// added here as well as to the factory table below.
+// serving tier memoize them under one seed.
 func ScheduleUsesSeed(name string) bool {
-	switch CanonicalScheduleName(name) {
-	case "random", "lossy", "duplicating", "crash-restart", "crash-repair":
-		return true
-	}
-	return false
+	s := lookupSchedule(name)
+	return s != nil && s.seeded
 }
 
 // ScheduleDeliveryGuarantee classifies the delivery guarantee of a schedule
 // name (canonical names and aliases of ScheduleNames): what the network
-// still promises once the schedule has had its way. Everything predating the
-// fault axis — and the lossy and crash-restart schedules, whose faults are
-// absorbed by the link layer — upholds the paper's exactly-once model;
-// consumers that require bit-identical results across schedules should
-// filter on ExactlyOnce rather than enumerate names. Unknown names classify
-// as ExactlyOnce; the lookup functions remain the validators.
+// still promises once the schedule has had its way. Consumers that require
+// bit-identical results across schedules should filter on ExactlyOnce
+// rather than enumerate names. Unknown names classify as ExactlyOnce; the
+// constructors remain the validators. An engine built by name reports the
+// same guarantee (see EngineDeliveryGuarantee).
 func ScheduleDeliveryGuarantee(name string) DeliveryGuarantee {
-	switch CanonicalScheduleName(name) {
-	case "duplicating":
-		return AtLeastOnce
-	case "crash-repair":
-		return CrashProne
+	if s := lookupSchedule(name); s != nil {
+		return s.guarantee
 	}
 	return ExactlyOnce
 }
 
-// schedulerFactoryByName is the single name → scheduler table behind both
-// NewSchedulerByName and NewEngineByName; a new schedule needs exactly one
-// case here plus its ScheduleNames entry (and, if seeded, a
-// ScheduleUsesSeed case). The seed drives randomized schedules and is
-// ignored by deterministic ones. Aliases are folded by
-// CanonicalScheduleName, the only place they are spelled.
-func schedulerFactoryByName(name string, seed int64) (func() Scheduler, error) {
-	switch CanonicalScheduleName(name) {
-	case "sequential":
-		return NewFIFOScheduler, nil
-	case "random":
-		return func() Scheduler { return NewRandomScheduler(seed) }, nil
-	case "round-robin":
-		return NewRoundRobinScheduler, nil
-	case "adversarial":
-		return func() Scheduler { return NewAdversarialScheduler(DefaultAdversarialBound) }, nil
-	case "lossy":
-		return func() Scheduler { return NewLossyScheduler(seed, DefaultDropRate, DefaultMaxRetransmits) }, nil
-	case "duplicating":
-		return func() Scheduler { return NewDuplicatingScheduler(seed, DefaultDuplicateRate) }, nil
-	case "crash-restart":
-		return func() Scheduler { return NewCrashRestartScheduler(seed) }, nil
-	case "crash-repair":
-		return func() Scheduler { return NewCrashRepairScheduler(seed) }, nil
-	default:
-		return nil, fmt.Errorf("%w %q (known: %s)",
-			ErrUnknownSchedule, name, strings.Join(ScheduleNames(), ", "))
-	}
-}
-
-// NewSchedulerByName builds a built-in scheduler by name.
+// NewSchedulerByName builds a built-in scheduler by name. The seed drives
+// seeded schedules and is ignored by deterministic ones.
 func NewSchedulerByName(name string, seed int64) (Scheduler, error) {
-	factory, err := schedulerFactoryByName(name, seed)
+	s, err := lookupScheduleErr(name)
 	if err != nil {
 		return nil, err
 	}
-	return factory(), nil
+	return s.new(seed), nil
 }
 
 // NewEngineByName resolves a schedule name (see ScheduleNames) to a
 // ready-to-run engine. This is the single lookup behind the cmd tools'
-// -engine/-schedule flags and the facade's Options.Schedule. The names with
-// dedicated engine types are special-cased; everything else is resolved
-// through the shared scheduler table.
+// -schedule flags and the facade's WithSchedule.
 //
 //ring:coldpath -- engine construction, once per run or batch worker
 func NewEngineByName(name string, seed int64) (Engine, error) {
-	switch CanonicalScheduleName(name) {
-	case "sequential":
-		return NewSequentialEngine(), nil
-	case "random":
-		return NewRandomOrderEngine(seed), nil
-	case "concurrent":
-		return NewConcurrentEngine(), nil
-	case "sharded":
-		return NewShardedEngine(), nil
-	}
-	factory, err := schedulerFactoryByName(name, seed)
+	s, err := lookupScheduleErr(name)
 	if err != nil {
 		return nil, err
 	}
-	return NewScheduledEngine(factory().Name(), factory), nil
+	return s.seededEngine(seed), nil
 }

@@ -204,14 +204,32 @@ func TestAdversarialFairnessBoundServesOldestLink(t *testing.T) {
 }
 
 func TestNewEngineByNameAndAliases(t *testing.T) {
+	// Engine names label reports, key the exec engine cache and gate prefix
+	// checkpointing, so they are pinned verbatim.
+	wantNames := map[string]string{
+		"sequential":    "sequential",
+		"random":        "random-order(seed=3)",
+		"round-robin":   "round-robin",
+		"adversarial":   "adversarial(bound=8)",
+		"lossy":         "lossy(seed=3,drop=0.125)",
+		"duplicating":   "duplicating(seed=3,dup=0.125)",
+		"crash-restart": "crash-restart(seed=3)",
+		"crash-repair":  "crash-repair(seed=3)",
+	}
 	for _, name := range ScheduleNames() {
 		eng, err := NewEngineByName(name, 3)
 		if err != nil {
 			t.Fatalf("NewEngineByName(%q): %v", name, err)
 		}
-		if eng.Name() == "" {
-			t.Errorf("engine for %q has empty name", name)
+		if eng.Name() != wantNames[name] {
+			t.Errorf("engine for %q is named %q, want %q", name, eng.Name(), wantNames[name])
 		}
+	}
+	if got := NewRandomOrderEngine(3).Name(); got != "random-order(seed=3)" {
+		t.Errorf("NewRandomOrderEngine(3).Name() = %q", got)
+	}
+	if got := NewSequentialEngine().Name(); got != "sequential" {
+		t.Errorf("NewSequentialEngine().Name() = %q", got)
 	}
 	for alias, canonical := range map[string]string{
 		"fifo":          "sequential",

@@ -32,11 +32,6 @@ type RunState struct {
 	sched      Scheduler
 	schedOwner Engine
 
-	// shard caches the sharded engine's per-worker run structures the same
-	// way sched caches a scheduler.
-	shard      *shardRun
-	shardOwner Engine
-
 	oversizedContexts int
 }
 
@@ -142,9 +137,9 @@ func shouldShrink(capacity, need int, runs *int) bool {
 }
 
 // StatefulEngine is implemented by engines that can execute a run inside
-// caller-owned reusable state. All scheduler-backed engines implement it (as
-// does the sharded engine); the concurrent engine does not (its state is
-// inherently per-run goroutine plumbing).
+// caller-owned reusable state. Every ScheduledEngine implements it; the
+// concurrent engine does not (its state is inherently per-run goroutine
+// plumbing).
 type StatefulEngine interface {
 	Engine
 	// RunWith behaves exactly like Run but reuses st's allocations. The

@@ -39,11 +39,7 @@ type Stats struct {
 	MaxMessageBits int
 
 	// linkMsgs and linkBits are indexed by linkIndex(to, arrival); a slot
-	// with zero messages never carried traffic. They are allocated lazily on
-	// the first record so a run that sends nothing allocates nothing. The
-	// sharded engine writes them directly from its workers — every directed
-	// link has exactly one sending processor, hence exactly one writing
-	// worker, so the arrays need no synchronization beyond the final join.
+	// with zero messages never carried traffic. They are sized by reset.
 	linkMsgs []int32
 	linkBits []int64
 	// view is the cached result of PerLink, invalidated on every record.
@@ -56,7 +52,9 @@ type Stats struct {
 
 // newStats allocates a Stats for a ring of n processors.
 func newStats(n int) *Stats {
-	return &Stats{Processors: n}
+	s := &Stats{}
+	s.reset(n)
+	return s
 }
 
 // reset prepares the Stats for a fresh run on a ring of n processors, keeping
@@ -83,18 +81,8 @@ func (s *Stats) reset(n int) {
 			s.linkBits[i] = 0
 		}
 	} else {
-		s.linkMsgs = nil // reallocated lazily at the new size
-		s.linkBits = nil
-	}
-}
-
-// ensureLinks materializes the per-link counter arrays at full size. The
-// serial loop lets record do this lazily; the sharded engine calls it before
-// launching workers so no two workers race the allocation.
-func (s *Stats) ensureLinks() {
-	if s.linkMsgs == nil {
-		s.linkMsgs = make([]int32, numLinks(s.Processors))
-		s.linkBits = make([]int64, numLinks(s.Processors))
+		s.linkMsgs = make([]int32, links)
+		s.linkBits = make([]int64, links)
 	}
 }
 
@@ -112,7 +100,6 @@ func (s *Stats) record(to int, arrival Direction, payload bits.String) {
 	if n > s.MaxMessageBits {
 		s.MaxMessageBits = n
 	}
-	s.ensureLinks()
 	link := linkIndex(to, arrival)
 	s.linkMsgs[link]++
 	s.linkBits[link] += int64(n)

@@ -92,10 +92,15 @@ func TestRecognizeUnknownAlgorithm(t *testing.T) {
 	if status != http.StatusBadRequest || got.Code != "unknown-algorithm" {
 		t.Errorf("status=%d payload=%+v", status, got)
 	}
-	status = postJSON(t, ts.URL+"/v1/recognize",
-		runRequest{Algorithm: "three-counters", Schedule: "bogus", Word: "01"}, &got)
-	if status != http.StatusBadRequest || got.Code != "unknown-schedule" {
-		t.Errorf("status=%d payload=%+v", status, got)
+	// Engine names outside the schedule catalog are unknown schedules: a
+	// client cannot select the goroutine-per-processor reference engine.
+	for _, schedule := range []string{"bogus", "concurrent", "sharded"} {
+		got = errorPayload{}
+		status = postJSON(t, ts.URL+"/v1/recognize",
+			runRequest{Algorithm: "three-counters", Schedule: schedule, Word: "01"}, &got)
+		if status != http.StatusBadRequest || got.Code != "unknown-schedule" {
+			t.Errorf("schedule %q: status=%d payload=%+v", schedule, status, got)
+		}
 	}
 }
 

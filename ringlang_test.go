@@ -1,9 +1,21 @@
 package ringlang
 
 import (
+	"context"
 	"errors"
 	"testing"
+
+	"ringlang/internal/ring"
 )
+
+// recognize runs one word through a per-call client.
+func recognize(algorithm, language, word string, opts ...Option) (*Report, error) {
+	client, err := NewClient(algorithm, language, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return client.Recognize(context.Background(), WordFromString(word))
+}
 
 func TestRecognizeFacade(t *testing.T) {
 	cases := []struct {
@@ -19,7 +31,7 @@ func TestRecognizeFacade(t *testing.T) {
 		{"regular-one-pass", "even-ones", "0111", VerdictReject},
 	}
 	for _, c := range cases {
-		report, err := Recognize(c.algorithm, c.language, WordFromString(c.word), Options{})
+		report, err := recognize(c.algorithm, c.language, c.word)
 		if err != nil {
 			t.Fatalf("Recognize(%s, %q): %v", c.algorithm, c.word, err)
 		}
@@ -35,26 +47,28 @@ func TestRecognizeFacade(t *testing.T) {
 	}
 }
 
+// TestRecognizeConcurrentOption pins the literal-asynchrony reference
+// through the facade: the concurrent engine, pinned with WithEngine, agrees
+// with the sequential default on verdict and bits.
 func TestRecognizeConcurrentOption(t *testing.T) {
-	seq, err := Recognize("three-counters", "", WordFromString("000111222"), Options{})
+	seq, err := recognize("three-counters", "", "000111222")
 	if err != nil {
 		t.Fatal(err)
 	}
-	conc, err := Recognize("three-counters", "", WordFromString("000111222"), Options{Concurrent: true})
+	conc, err := recognize("three-counters", "", "000111222", WithEngine(ring.NewConcurrentEngine()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seq.Bits != conc.Bits || seq.Verdict != conc.Verdict {
 		t.Errorf("engines disagree: %+v vs %+v", seq, conc)
 	}
-	if !conc.UsedConcurrentRun || seq.UsedConcurrentRun {
-		t.Error("UsedConcurrentRun flag wrong")
+	if seq.Schedule != "sequential" || conc.Schedule != "concurrent" {
+		t.Errorf("schedule labels = %q/%q, want sequential/concurrent", seq.Schedule, conc.Schedule)
 	}
 }
 
 func TestRecognizeScheduleOption(t *testing.T) {
-	word := WordFromString("000111222")
-	base, err := Recognize("three-counters", "", word, Options{})
+	base, err := recognize("three-counters", "", "000111222")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +76,7 @@ func TestRecognizeScheduleOption(t *testing.T) {
 		t.Errorf("default schedule = %q, want sequential", base.Schedule)
 	}
 	for _, schedule := range ScheduleNames() {
-		report, err := Recognize("three-counters", "", word, Options{Schedule: schedule, Seed: 5})
+		report, err := recognize("three-counters", "", "000111222", WithSchedule(schedule), WithSeed(5))
 		if ScheduleDeliveryGuarantee(schedule) != DeliveryExactlyOnce {
 			// A raw algorithm under weaker-than-exactly-once delivery is
 			// refused, typed — never run into a silently wrong verdict.
@@ -80,23 +94,22 @@ func TestRecognizeScheduleOption(t *testing.T) {
 		if report.Bits != base.Bits || report.Verdict != base.Verdict {
 			t.Errorf("schedule %q disagrees with sequential: %+v vs %+v", schedule, report, base)
 		}
-		if report.UsedConcurrentRun != (schedule == "concurrent") {
-			t.Errorf("schedule %q: UsedConcurrentRun = %v", schedule, report.UsedConcurrentRun)
+	}
+	for _, bogus := range []string{"bogus", "concurrent", "sharded"} {
+		if _, err := recognize("three-counters", "", "000111222", WithSchedule(bogus)); !errors.Is(err, ErrUnknownSchedule) {
+			t.Errorf("schedule %q: got %v, want ErrUnknownSchedule", bogus, err)
 		}
 	}
-	if _, err := Recognize("three-counters", "", word, Options{Schedule: "bogus"}); err == nil {
-		t.Error("expected error for unknown schedule")
-	}
-	if len(ScheduleNames()) < 5 {
-		t.Error("ScheduleNames too short")
+	if len(ScheduleNames()) != 8 {
+		t.Errorf("ScheduleNames = %v, want the eight catalog schedules", ScheduleNames())
 	}
 }
 
 func TestRecognizeErrors(t *testing.T) {
-	if _, err := Recognize("bogus", "", WordFromString("ab"), Options{}); err == nil {
+	if _, err := recognize("bogus", "", "ab"); err == nil {
 		t.Error("expected error for unknown algorithm")
 	}
-	if _, err := Recognize("three-counters", "", WordFromString(""), Options{}); err == nil {
+	if _, err := recognize("three-counters", "", ""); err == nil {
 		t.Error("expected error for empty ring")
 	}
 }
