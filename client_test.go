@@ -3,7 +3,8 @@ package ringlang
 import (
 	"context"
 	"errors"
-	"reflect"
+	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,6 +39,30 @@ func bigWord(k int) Word {
 		}
 	}
 	return w
+}
+
+// firstRunEngine runs its first word on the sequential engine and blocks
+// every later run until the run's context is canceled, so a cancellation test
+// always finds exactly one finished word and work still in flight, however
+// the pool's workers are scheduled. after, when non-nil, is called once the
+// first run has finished.
+type firstRunEngine struct {
+	ran   atomic.Bool
+	after func()
+}
+
+func (e *firstRunEngine) Name() string { return "first-run-then-block" }
+
+func (e *firstRunEngine) Run(cfg ring.Config, nodes []ring.Node) (*ring.Result, error) {
+	if e.ran.CompareAndSwap(false, true) {
+		res, err := ring.NewSequentialEngine().Run(cfg, nodes)
+		if e.after != nil {
+			e.after()
+		}
+		return res, err
+	}
+	<-cfg.Ctx.Done()
+	return nil, fmt.Errorf("%w: %w", ring.ErrCanceled, cfg.Ctx.Err())
 }
 
 // TestClientBatchPerWordErrors pins the tentpole's no-fail-all contract: a
@@ -153,10 +178,11 @@ func TestClientStreamEarlyBreak(t *testing.T) {
 
 // TestClientStreamCancelMidway cancels the stream's context after the first
 // yield: the already-dispatched words finish or abort, the undispatched ones
-// report ErrCanceled, and every word is still yielded exactly once.
+// report ErrCanceled, and every word is still yielded exactly once. The
+// engine finishes only the first word, so the cancel always lands midway.
 func TestClientStreamCancelMidway(t *testing.T) {
 	const n = 48
-	client, err := NewClient("three-counters", "", WithWorkers(2))
+	client, err := NewClient("three-counters", "", WithWorkers(2), WithEngine(&firstRunEngine{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,20 +222,24 @@ func TestClientStreamCancelMidway(t *testing.T) {
 	if completed == 0 || canceled == 0 {
 		t.Errorf("completed=%d canceled=%d: cancel midway should leave both kinds", completed, canceled)
 	}
+	if completed != 1 {
+		t.Errorf("completed=%d, want exactly the engine's one finished word", completed)
+	}
 }
 
 // TestClientBatchCancelKeepsPartialResults pins the serving-layer contract of
 // the tentpole: canceling a batch returns promptly, keeps the reports that
-// finished, marks the rest ErrCanceled, and leaks no worker goroutines.
+// finished, marks the rest ErrCanceled, and leaks no worker goroutines. The
+// engine finishes the first word, cancels, and holds every other run until
+// the cancel lands, so both kinds of result are always present.
 func TestClientBatchCancelKeepsPartialResults(t *testing.T) {
 	before := runtime.NumGoroutine()
-	client, err := NewClient("three-counters", "", WithWorkers(2))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	client, err := NewClient("three-counters", "", WithWorkers(2), WithEngine(&firstRunEngine{after: cancel}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	time.AfterFunc(5*time.Millisecond, cancel)
 	words := make([]Word, 256)
 	for i := range words {
 		words[i] = bigWord(48)
@@ -236,8 +266,8 @@ func TestClientBatchCancelKeepsPartialResults(t *testing.T) {
 	if completed+canceled != len(words) {
 		t.Fatalf("completed=%d canceled=%d, want %d total", completed, canceled, len(words))
 	}
-	if canceled == 0 {
-		t.Skip("batch finished before the cancel landed; nothing to assert")
+	if completed != 1 || canceled == 0 {
+		t.Errorf("completed=%d canceled=%d: the cancel should land after exactly one finished word", completed, canceled)
 	}
 	// Closing the client must wind down every pool worker goroutine.
 	client.Close()
@@ -471,57 +501,41 @@ func TestClientAccessorsAndNilCtx(t *testing.T) {
 	}
 }
 
-// TestClientPresize pins the scale-plumbing option: a presized client must
-// produce reports identical to an unsized one, for single runs and for the
-// pooled batch path, under both the default and the round-robin schedule. The
-// reservation itself (no growth reallocations on large rings) is pinned by
-// the allocation guards in internal/ring; here the contract is that presizing
-// is observationally invisible. Stats carry private shrink-policy bookkeeping
-// that legitimately differs between a fresh and a reserved state, so reports
-// are compared on their public surface.
-func samePresizeReport(want, got *Report) bool {
-	w, g := *want, *got
-	w.Stats, g.Stats = nil, nil
-	return reflect.DeepEqual(w, g) &&
-		want.Stats.Bits == got.Stats.Bits &&
-		want.Stats.Messages == got.Stats.Messages &&
-		want.Stats.MaxMessageBits == got.Stats.MaxMessageBits &&
-		reflect.DeepEqual(want.Stats.Links(), got.Stats.Links())
-}
-
-func TestClientPresize(t *testing.T) {
-	ctx := context.Background()
-	words := testWords()
-	for _, schedule := range []string{"sequential", "round-robin"} {
-		plain, err := NewClient("three-counters", "", WithSchedule(schedule))
-		if err != nil {
+// TestRecognizeReportDoesNotPinRunState is the retention guard of Recognize:
+// a Report keeps its Stats (the header and the per-link counters), never the
+// transient run state the engine ran in — its contexts, scratch writers and
+// scheduler queues. A memo cache holding reports would otherwise keep every
+// run's state alive.
+func TestRecognizeReportDoesNotPinRunState(t *testing.T) {
+	const (
+		reports  = 500
+		letters  = 256
+		maxBytes = 16 << 10
+	)
+	client, err := NewClient("majority", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(256))
+	words := make([]Word, reports)
+	for i := range words {
+		words[i] = lang.RandomWord(lang.NewAlphabet('0', '1'), letters, rng)
+	}
+	kept := make([]*Report, reports)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, w := range words {
+		if kept[i], err = client.Recognize(context.Background(), w); err != nil {
 			t.Fatal(err)
-		}
-		sized, err := NewClient("three-counters", "", WithSchedule(schedule), WithPresize(1<<12))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range words {
-			want, err := plain.Recognize(ctx, w)
-			if err != nil {
-				t.Fatalf("%s plain on %q: %v", schedule, w.String(), err)
-			}
-			got, err := sized.Recognize(ctx, w)
-			if err != nil {
-				t.Fatalf("%s presized on %q: %v", schedule, w.String(), err)
-			}
-			if !samePresizeReport(want, got) {
-				t.Errorf("%s on %q: presized report differs:\n%+v\n%+v", schedule, w.String(), want, got)
-			}
-		}
-		wantBatch := plain.Batch(ctx, words)
-		for i, r := range sized.Batch(ctx, words) {
-			if r.Err != nil {
-				t.Fatalf("%s presized batch word %d: %v", schedule, i, r.Err)
-			}
-			if !samePresizeReport(wantBatch[i].Report, r.Report) {
-				t.Errorf("%s presized batch word %d: report differs", schedule, i)
-			}
 		}
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perReport := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / reports
+	t.Logf("%d-letter report retains %.1f KiB", letters, float64(perReport)/1024)
+	if perReport >= maxBytes {
+		t.Errorf("each retained %d-letter report holds %d bytes (limit %d): reports pin their run state", letters, perReport, maxBytes)
+	}
+	runtime.KeepAlive(kept)
 }

@@ -31,9 +31,9 @@ func scaleIters(n int, suite Suite) int {
 	return iters
 }
 
-// timedRuns executes the recognizer iters times on word with a reused,
-// pre-sized run state, and returns the per-run wall time and steady-state
-// heap allocations plus the (schedule-independent) result of the final run.
+// timedRuns executes the recognizer iters times on word with a reused run
+// state, and returns the per-run wall time and steady-state heap allocations
+// plus the (schedule-independent) result of the final run.
 // The run state is reused and the ring is relabelled in place run to run
 // (core.NodeReuse), so the numbers measure the engine loop, not per-run
 // construction. Warm-up runs precede the measurement so neither cold-start
@@ -45,7 +45,7 @@ func scaleIters(n int, suite Suite) int {
 // an identical cell run second.
 func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters int) (nsPerOp, allocsPerOp float64, res *ring.Result, err error) {
 	st := ring.NewRunState()
-	opts := core.RunOptions{Engine: engine, State: st, Presize: len(word), Ctx: defaultCtx, Reuse: core.NewNodeReuse()}
+	opts := core.RunOptions{Engine: engine, State: st, Ctx: defaultCtx, Reuse: core.NewNodeReuse()}
 	warmups := 2 + iters/4
 	if warmups > 8 {
 		warmups = 8
@@ -74,7 +74,7 @@ func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters in
 // ExperimentE15 is the large-ring engine sweep: the count algorithm (one
 // Θ(log n)-bit token, one circuit — the lightest Θ(n log n) workload in the
 // catalog, so engine overhead dominates) timed at ring sizes up to 2^20 under
-// the sequential engine, with reused pre-sized run state. The ns/op and
+// the sequential engine, with reused warm run state. The ns/op and
 // allocs/op columns are the perf trajectory that BENCH_engine.json pins at
 // the repo root. (A single-token pass keeps one message in flight, so there
 // is no intra-run parallelism to measure; parallelism runs across words, in
@@ -82,7 +82,7 @@ func timedRuns(rec core.Recognizer, word lang.Word, engine ring.Engine, iters in
 func ExperimentE15(sizes []int, suite Suite) (*Table, error) {
 	table := &Table{
 		ID:         "E15",
-		Title:      "large-ring engine: time and allocation trajectory (count, reused pre-sized state)",
+		Title:      "large-ring engine: time and allocation trajectory (count, reused warm state)",
 		PaperClaim: "engine scaffolding, not a paper claim: the Θ(n log n) count workload at n up to 2^20",
 		Columns:    []string{"n", "engine", "bits", "msgs", "bits/(n lg n)", "ns/op", "ns/op/n", "allocs/op"},
 	}
@@ -126,7 +126,7 @@ func ExperimentE15(sizes []int, suite Suite) (*Table, error) {
 		})
 	}
 	table.Notes = append(table.Notes,
-		"timings average the post-warm-up steady state: the run state is pre-sized (WithPresize), so allocs/op is the reuse floor, not cold-start growth",
+		"timings average the post-warm-up steady state: the run state is reused from the warm-up runs, so allocs/op is the reuse floor, not cold-start growth",
 	)
 	return table, nil
 }

@@ -12,7 +12,9 @@ import (
 // each algorithm, as checkable envelopes. Each model predicts a [lower,
 // upper] band for BIT(n); the test suite and the verification tool run the
 // algorithms and assert the measured totals stay inside the band. This is the
-// closest executable analogue of the paper's per-algorithm analyses.
+// closest executable analogue of the paper's per-algorithm analyses. Every
+// model takes the recognizer it describes and is named after it, so one
+// signature fits every row of the algorithm catalog (see algorithmSpecs).
 
 // ComplexityModel is a predicted bit-complexity envelope for one recognizer.
 type ComplexityModel struct {
@@ -56,8 +58,8 @@ func deltaBits(v int) float64 {
 
 // ModelRegularOnePass is the Theorem 1 envelope: exactly ⌈log|Q|⌉ bits per
 // processor.
-func ModelRegularOnePass(rec *RegularOnePass) ComplexityModel {
-	stateBits := float64(rec.StateBits())
+func ModelRegularOnePass(rec Recognizer) ComplexityModel {
+	stateBits := float64(rec.(*RegularOnePass).StateBits())
 	return ComplexityModel{
 		Algorithm: rec.Name(),
 		Claim:     "Theorem 1: BIT(n) = ⌈log|Q|⌉·n",
@@ -67,10 +69,10 @@ func ModelRegularOnePass(rec *RegularOnePass) ComplexityModel {
 }
 
 // ModelCount is the counting-pass envelope: n messages of one δ-coded counter
-// each, i.e. Θ(n log n).
-func ModelCount() ComplexityModel {
+// each, i.e. Θ(n log n). It covers the backward counting pass too.
+func ModelCount(rec Recognizer) ComplexityModel {
 	return ComplexityModel{
-		Algorithm: "count",
+		Algorithm: rec.Name(),
 		Claim:     "Section 8 example: BIT(n) = Θ(n log n)",
 		Lower:     func(n int) float64 { return float64(n) },
 		Upper:     func(n int) float64 { return float64(n) * (deltaBits(n) + 1) },
@@ -79,19 +81,30 @@ func ModelCount() ComplexityModel {
 
 // ModelThreeCounters is the Section 7 note 2 envelope: three δ-coded counters
 // plus three header bits per message.
-func ModelThreeCounters() ComplexityModel {
+func ModelThreeCounters(rec Recognizer) ComplexityModel {
 	return ComplexityModel{
-		Algorithm: "three-counters",
+		Algorithm: rec.Name(),
 		Claim:     "Section 7.2: BIT(n) = O(n log n)",
 		Lower:     func(n int) float64 { return 3 * float64(n) },
 		Upper:     func(n int) float64 { return float64(n) * (3*deltaBits(n) + 3) },
 	}
 }
 
-// ModelBalancedCounter is the Dyck depth-counter envelope.
-func ModelBalancedCounter() ComplexityModel {
+// ModelMajority is the majority-token envelope: n messages of two δ-coded
+// counters each, i.e. Θ(n log n).
+func ModelMajority(rec Recognizer) ComplexityModel {
 	return ComplexityModel{
-		Algorithm: "balanced-counter",
+		Algorithm: rec.Name(),
+		Claim:     "framework example: BIT(n) = Θ(n log n)",
+		Lower:     func(n int) float64 { return 2 * float64(n) },
+		Upper:     func(n int) float64 { return float64(n) * 2 * deltaBits(n) },
+	}
+}
+
+// ModelBalancedCounter is the Dyck depth-counter envelope.
+func ModelBalancedCounter(rec Recognizer) ComplexityModel {
+	return ComplexityModel{
+		Algorithm: rec.Name(),
 		Claim:     "extension of Section 7.2: BIT(n) = O(n log n)",
 		Lower:     func(n int) float64 { return 2 * float64(n) },
 		Upper:     func(n int) float64 { return float64(n) * (deltaBits(n) + 1) },
@@ -101,9 +114,9 @@ func ModelBalancedCounter() ComplexityModel {
 // ModelCompareWcW is the Section 7 note 1 envelope: the queue peaks at
 // ⌈n/2⌉ letters, so the total sits between n²/8 and roughly n²/2 plus
 // per-message headers.
-func ModelCompareWcW() ComplexityModel {
+func ModelCompareWcW(rec Recognizer) ComplexityModel {
 	return ComplexityModel{
-		Algorithm: "compare-wcw",
+		Algorithm: rec.Name(),
 		Claim:     "Section 7.1: BIT(n) = Θ(n²)",
 		Lower:     func(n int) float64 { return float64(n) * float64(n) / 8 },
 		Upper:     func(n int) float64 { return float64(n)*float64(n)/2 + float64(n)*(deltaBits(n)+4) },
@@ -112,10 +125,10 @@ func ModelCompareWcW() ComplexityModel {
 
 // ModelCollectAll is the universal upper bound: message i carries i letters
 // of ⌈log|Σ|⌉ bits plus a δ-coded length.
-func ModelCollectAll(rec *CollectAll) ComplexityModel {
+func ModelCollectAll(rec Recognizer) ComplexityModel {
 	letterBits := float64(bits.UintWidth(uint64(rec.Language().Alphabet().Size() - 1)))
 	return ComplexityModel{
-		Algorithm: "collect-all",
+		Algorithm: rec.Name(),
 		Claim:     "Section 1: BIT(n) = O(n² log|Σ|)",
 		Lower:     func(n int) float64 { return letterBits * float64(n) * float64(n) / 2 },
 		Upper: func(n int) float64 {
@@ -127,8 +140,9 @@ func ModelCollectAll(rec *CollectAll) ComplexityModel {
 // ModelLg is the Section 7 note 3 envelope: a counting pass plus a window
 // pass of p(n) letters (+ headers) per message; with known n the counting
 // pass disappears.
-func ModelLg(rec *LgRecognizer) ComplexityModel {
-	language, _ := rec.Language().(*lang.Lg)
+func ModelLg(rec Recognizer) ComplexityModel {
+	lg := rec.(*LgRecognizer)
+	language, _ := lg.Language().(*lang.Lg)
 	return ComplexityModel{
 		Algorithm: rec.Name(),
 		Claim:     "Section 7.3/7.4: BIT(n) = Θ(g(n)) (+ n log n when n is unknown)",
@@ -138,7 +152,7 @@ func ModelLg(rec *LgRecognizer) ComplexityModel {
 		Upper: func(n int) float64 {
 			p := language.Period(n)
 			window := float64(n) * (float64(p) + 2*deltaBits(p) + deltaBits(n) + 1)
-			if rec.KnownN() {
+			if lg.KnownN() {
 				return window
 			}
 			return window + float64(n)*(deltaBits(n)+1)
@@ -147,10 +161,10 @@ func ModelLg(rec *LgRecognizer) ComplexityModel {
 }
 
 // ModelParityTwoPass is the exact Section 7 note 5 two-pass formula.
-func ModelParityTwoPass(language *lang.ParityIndex) ComplexityModel {
-	k := language.K()
+func ModelParityTwoPass(rec Recognizer) ComplexityModel {
+	k := rec.Language().(*lang.ParityIndex).K()
 	return ComplexityModel{
-		Algorithm: "parity-two-pass",
+		Algorithm: rec.Name(),
 		Claim:     "Section 7.5: BIT(n) = (2k+1)·n",
 		Lower:     func(n int) float64 { return float64((2*k + 1) * n) },
 		Upper:     func(n int) float64 { return float64((2*k + 1) * n) },
@@ -158,66 +172,12 @@ func ModelParityTwoPass(language *lang.ParityIndex) ComplexityModel {
 }
 
 // ModelParityOnePass is the exact Section 7 note 5 one-pass formula.
-func ModelParityOnePass(language *lang.ParityIndex) ComplexityModel {
-	k := language.K()
+func ModelParityOnePass(rec Recognizer) ComplexityModel {
+	k := rec.Language().(*lang.ParityIndex).K()
 	return ComplexityModel{
-		Algorithm: "parity-one-pass",
+		Algorithm: rec.Name(),
 		Claim:     "Section 7.5: BIT(n) = (k+2^k−1)·n",
 		Lower:     func(n int) float64 { return float64((k + (1 << uint(k)) - 1) * n) },
 		Upper:     func(n int) float64 { return float64((k + (1 << uint(k)) - 1) * n) },
 	}
-}
-
-// StandardModels pairs ready-made recognizers with their envelopes; the
-// verification test sweeps all of them.
-func StandardModels() ([]Recognizer, []ComplexityModel, error) {
-	regs, err := lang.StandardRegularLanguages()
-	if err != nil {
-		return nil, nil, err
-	}
-	parity3, err := lang.NewParityIndex(3)
-	if err != nil {
-		return nil, nil, err
-	}
-	var recs []Recognizer
-	var models []ComplexityModel
-
-	for _, reg := range regs {
-		rec := NewRegularOnePass(reg)
-		recs = append(recs, rec)
-		models = append(models, ModelRegularOnePass(rec))
-	}
-	countRec := NewSquareCount()
-	recs = append(recs, countRec)
-	models = append(models, ModelCount())
-
-	recs = append(recs, NewThreeCounters())
-	models = append(models, ModelThreeCounters())
-
-	recs = append(recs, NewMajority())
-	models = append(models, ModelMajority())
-
-	recs = append(recs, NewBalancedCounter())
-	models = append(models, ModelBalancedCounter())
-
-	recs = append(recs, NewCompareWcW())
-	models = append(models, ModelCompareWcW())
-
-	collect := NewCollectAll(lang.NewAnBnCn())
-	recs = append(recs, collect)
-	models = append(models, ModelCollectAll(collect))
-
-	for _, g := range lang.StandardGrowthFuncs() {
-		unknown := NewLgRecognizer(lang.NewLg(g))
-		known := NewLgRecognizerKnownN(lang.NewLg(g))
-		recs = append(recs, unknown, known)
-		models = append(models, ModelLg(unknown), ModelLg(known))
-	}
-
-	recs = append(recs, NewParityTwoPass(parity3))
-	models = append(models, ModelParityTwoPass(parity3))
-	recs = append(recs, NewParityOnePass(parity3))
-	models = append(models, ModelParityOnePass(parity3))
-
-	return recs, models, nil
 }

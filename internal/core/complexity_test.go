@@ -18,6 +18,18 @@ func TestComplexityEnvelopes(t *testing.T) {
 	if len(recs) != len(models) {
 		t.Fatalf("StandardModels returned %d recognizers but %d models", len(recs), len(models))
 	}
+	swept := map[string]bool{}
+	for i, rec := range recs {
+		swept[rec.Name()] = true
+		if models[i].Algorithm != rec.Name() {
+			t.Errorf("model %q paired with recognizer %q", models[i].Algorithm, rec.Name())
+		}
+	}
+	for _, name := range AlgorithmNames() {
+		if !swept[name] {
+			t.Errorf("algorithm %q has no envelope in StandardModels", name)
+		}
+	}
 	rng := rand.New(rand.NewSource(77))
 	sizes := []int{8, 33, 65, 129, 257}
 	for i, rec := range recs {
@@ -39,7 +51,7 @@ func TestComplexityEnvelopes(t *testing.T) {
 }
 
 func TestComplexityModelDescribe(t *testing.T) {
-	m := ModelCount()
+	m := ModelCount(NewSquareCount())
 	if !m.Contains(100, 800) {
 		t.Error("800 bits at n=100 should be inside the counting envelope")
 	}
@@ -58,12 +70,14 @@ func TestParityModelsAreExact(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(78))
 	word, _ := language.GenerateMember(96, rng)
-	two := runOn(t, NewParityTwoPass(language), word)
-	one := runOn(t, NewParityOnePass(language), word)
-	if !ModelParityTwoPass(language).Contains(96, two.Stats.Bits) {
-		t.Errorf("two-pass formula mismatch: %d bits", two.Stats.Bits)
-	}
-	if !ModelParityOnePass(language).Contains(96, one.Stats.Bits) {
-		t.Errorf("one-pass formula mismatch: %d bits", one.Stats.Bits)
+	for _, rec := range []Recognizer{NewParityTwoPass(language), NewParityOnePass(language)} {
+		res := runOn(t, rec, word)
+		model, ok := modelFor(rec)
+		if !ok {
+			t.Fatalf("%s has no catalog model", rec.Name())
+		}
+		if model.Lower(96) != model.Upper(96) || !model.Contains(96, res.Stats.Bits) {
+			t.Errorf("%s formula mismatch: %s", rec.Name(), model.Describe(96, res.Stats.Bits))
+		}
 	}
 }

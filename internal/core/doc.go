@@ -5,12 +5,18 @@
 // compared against the language's membership predicate.
 //
 // Entry points: Run executes a recognizer on a word under RunOptions{Engine,
-// Schedule, Seed, RecordTrace, State, Ctx} (State reuses a ring.RunState
-// across runs — the batch pool's zero-allocation path; Ctx cancels mid-run
-// with ring.ErrCanceled); Check is Run plus a verdict-vs-membership
-// cross-check. NewRecognizerByName resolves the AlgorithmNames catalog for
-// the cmd tools, the ringlang facade and the serving tier, wrapping lookup
-// failures in ErrUnknownAlgorithm / lang.ErrUnknownLanguage.
+// Schedule, Seed, RecordTrace, State, Ctx, Prefix, Reuse} (State reuses a
+// ring.RunState across runs — the batch pool's zero-allocation path; without
+// it the result keeps only its Stats, not the transient run state; Ctx
+// cancels mid-run with ring.ErrCanceled); Check is Run plus a
+// verdict-vs-membership cross-check.
+//
+// The algorithm catalog is one table (algorithmSpecs in catalog.go), one row
+// per algorithm name with its constructor, its complexity envelope and the
+// languages the envelope sweep uses. NewRecognizerByName, AlgorithmNames and
+// StandardModels derive from it; NewRecognizerByName serves the cmd tools,
+// the ringlang facade and the serving tier, wrapping lookup failures in
+// ErrUnknownAlgorithm / lang.ErrUnknownLanguage.
 //
 // Most recognizers are declarations over the token-pass framework
 // (TokenAlgo/TokenPass/NewTokenRecognizer, see token.go): a spec of per-pass

@@ -62,14 +62,3 @@ func NewMajority() *Majority {
 		Verdict: func(s majorityState) bool { return s.ones > s.zeros },
 	})}
 }
-
-// ModelMajority is the majority-token envelope: n messages of two δ-coded
-// counters each, i.e. Θ(n log n).
-func ModelMajority() ComplexityModel {
-	return ComplexityModel{
-		Algorithm: "majority",
-		Claim:     "framework example: BIT(n) = Θ(n log n)",
-		Lower:     func(n int) float64 { return 2 * float64(n) },
-		Upper:     func(n int) float64 { return float64(n) * 2 * deltaBits(n) },
-	}
-}

@@ -189,10 +189,8 @@ func TestPrefixRunStaysOnColdAllocFloor(t *testing.T) {
 	rec := NewMajority()
 	word := lang.RandomWord(rec.Language().Alphabet(), n, rand.New(rand.NewSource(110)))
 
-	coldState := ring.NewRunStateSized(n)
-	coldOpts := RunOptions{Schedule: "sequential", State: coldState, Presize: n}
-	warmState := ring.NewRunStateSized(n)
-	warmOpts := RunOptions{Schedule: "sequential", State: warmState, Presize: n, Prefix: NewPrefixCache(1 << 22)}
+	coldOpts := RunOptions{Schedule: "sequential", State: ring.NewRunState()}
+	warmOpts := RunOptions{Schedule: "sequential", State: ring.NewRunState(), Prefix: NewPrefixCache(1 << 22)}
 	for _, opts := range []RunOptions{coldOpts, warmOpts} {
 		if _, err := Run(rec, word, opts); err != nil {
 			t.Fatal(err)

@@ -44,6 +44,18 @@ func allRecognizers(t *testing.T) []Recognizer {
 	return recs
 }
 
+func TestAllRecognizersCoverCatalog(t *testing.T) {
+	have := map[string]bool{}
+	for _, rec := range allRecognizers(t) {
+		have[rec.Name()] = true
+	}
+	for _, name := range AlgorithmNames() {
+		if !have[name] {
+			t.Errorf("allRecognizers has no %q recognizer", name)
+		}
+	}
+}
+
 func TestPropertyVerdictMatchesMembershipOnRandomWords(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for _, rec := range allRecognizers(t) {

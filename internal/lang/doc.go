@@ -11,5 +11,7 @@
 //
 // Every language provides membership testing plus deterministic generators
 // for members and near-miss non-members of a given ring size, which is what
-// the benchmark harness feeds to the ring algorithms.
+// the benchmark harness feeds to the ring algorithms. The named catalog
+// (ByName, CatalogNames, StandardRegularLanguages) is one table of rows in
+// catalog.go.
 package lang

@@ -1,7 +1,9 @@
 package lang
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -276,8 +278,30 @@ func TestByNameAndCatalog(t *testing.T) {
 			t.Errorf("ByName(%q): %v", name, err)
 		}
 	}
-	if _, err := ByName("no-such-language"); err == nil {
-		t.Error("expected error for unknown language")
+	if _, err := ByName("no-such-language"); !errors.Is(err, ErrUnknownLanguage) {
+		t.Errorf("unknown language: got %v, want ErrUnknownLanguage", err)
+	}
+	want := []string{"wcw", "anbncn", "anbn", "dyck", "majority", "palindrome", "length-is-square",
+		"L_g[n*log n]", "L_g[n^1.25]", "L_g[n^1.5]", "L_g[n^1.75]", "L_g[n^2]",
+		"even-ones", "ones-div-5", "(ab)*", "ends-abb", "contains-abbab", "length-div-7"}
+	if !slices.Equal(names, want) {
+		t.Errorf("CatalogNames = %q, want %q", names, want)
+	}
+	for alias, name := range map[string]string{"0^k1^k2^k": "0^k1^k2^k", "anbncn": "0^k1^k2^k", "0^k1^k": "0^k1^k", "anbn": "0^k1^k"} {
+		if l, err := ByName(alias); err != nil || l.Name() != name {
+			t.Errorf("ByName(%q) = %v, %v; want %s", alias, l, err, name)
+		}
+	}
+	regs, err := StandardRegularLanguages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var regNames []string
+	for _, r := range regs {
+		regNames = append(regNames, r.Name())
+	}
+	if !slices.Equal(regNames, want[12:]) {
+		t.Errorf("StandardRegularLanguages = %q, want %q", regNames, want[12:])
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 // TestSequentialLargeRing is the scale pin of the engine: a one-bit token
 // circulates once around a ring of 2^20 processors (2^16 under -short, which
 // the -race CI step uses) and must be accepted at exactly n messages and n
-// bits. With a RunState pre-sized for the ring, a steady-state run stays at
-// the sequential loop's allocation floor — the Result, nothing that grows
+// bits. Once a RunState has run the ring, a steady-state run stays at the
+// sequential loop's allocation floor — the Result, nothing that grows
 // with n.
 func TestSequentialLargeRing(t *testing.T) {
 	n := 1 << 20
@@ -18,7 +18,7 @@ func TestSequentialLargeRing(t *testing.T) {
 	}
 	nodes := tokenNodes(n)
 	eng := NewSequentialEngine()
-	st := NewRunStateSized(n)
+	st := NewRunState()
 	cfg := Config{RequireVerdict: true}
 
 	start := time.Now()
